@@ -43,13 +43,18 @@ var ReadOnlyMethods = []MethodSource{
 }
 
 // ReadOnlyFields is the curated field set: data published once and read by
-// many goroutines.
+// many goroutines. The view's configuration slices are listed because every
+// holder of a configuration (the engine, the broadcaster, the snapshot, join
+// responses and subscribers) shares them.
 var ReadOnlyFields = []FieldSource{
 	{"repro/internal/core", "ViewChange", "Members"},
 	{"repro/internal/core", "ViewChange", "Changes"},
 	{"repro/internal/core", "snapshot", "members"},
-	{"repro/internal/core", "snapshot", "byAddr"},
 	{"repro/internal/core", "snapshot", "pastConfigs"},
+	{"repro/internal/view", "configuration", "members"},
+	{"repro/internal/view", "configuration", "addrs"},
+	{"repro/internal/broadcast", "UnicastToAll", "members"},
+	{"repro/internal/remoting", "JoinResponse", "Members"},
 }
 
 // sorters are the standard in-place sorts whose first argument is mutated.

@@ -36,12 +36,13 @@ func NewUnicastToAll(client transport.Client) *UnicastToAll {
 	return &UnicastToAll{client: client}
 }
 
-// SetMembership implements Broadcaster.
+// SetMembership implements Broadcaster. The broadcaster keeps members
+// itself rather than a copy: the membership service hands it the
+// configuration's shared, immutable address list, so the caller must not
+// modify the slice afterwards.
 func (b *UnicastToAll) SetMembership(members []node.Addr) {
-	copied := make([]node.Addr, len(members))
-	copy(copied, members)
 	b.mu.Lock()
-	b.members = copied
+	b.members = members
 	b.mu.Unlock()
 }
 

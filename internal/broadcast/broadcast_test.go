@@ -74,15 +74,19 @@ func TestUnicastToAllEmptyMembershipIsNoop(t *testing.T) {
 	}
 }
 
-func TestUnicastToAllSetMembershipCopies(t *testing.T) {
+// TestUnicastToAllSetMembershipShares pins that installing a configuration's
+// recipients costs nothing: the broadcaster keeps the caller's immutable
+// slice instead of copying it.
+func TestUnicastToAllSetMembershipShares(t *testing.T) {
 	cl := &recordingClient{}
 	b := NewUnicastToAll(cl)
 	m := members(3)
-	b.SetMembership(m)
-	m[0] = "mutated:1"
+	if allocs := testing.AllocsPerRun(10, func() { b.SetMembership(m) }); allocs != 0 {
+		t.Fatalf("SetMembership allocates %.1f objects, want 0", allocs)
+	}
 	got := b.Members()
-	if got[0] == "mutated:1" {
-		t.Fatal("SetMembership must copy the slice")
+	if len(got) != len(m) || got[0] != m[0] || got[2] != m[2] {
+		t.Fatalf("Members() = %v, want %v", got, m)
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,15 +68,27 @@ type Subscriber func(ViewChange)
 // every view change. Public accessors read the latest snapshot lock-free, so
 // readers only ever observe fully installed configurations.
 type snapshot struct {
-	configID    uint64
-	members     []node.Endpoint // sorted by address; treated as immutable
-	byAddr      map[node.Addr]node.Endpoint
+	configID uint64
+	// members is the view's shared membership list for configID, sorted by
+	// address; lookups binary-search it.
+	members     []node.Endpoint
 	viewChanges int
 	// pastConfigs are the identifiers of recent configurations this process
-	// has already moved past (bounded by maxPastConfigs). The protocol never
+	// has already moved past (at most maxPastConfigs). The protocol never
 	// revisits a configuration, so batches referencing only these can be
 	// shed under overload with zero information loss.
-	pastConfigs map[uint64]bool
+	pastConfigs []uint64
+}
+
+// member returns the endpoint with the given address, if it is a member.
+func (s *snapshot) member(addr node.Addr) (node.Endpoint, bool) {
+	i, ok := slices.BinarySearchFunc(s.members, addr, func(ep node.Endpoint, a node.Addr) int {
+		return strings.Compare(string(ep.Addr), string(a))
+	})
+	if !ok {
+		return node.Endpoint{}, false
+	}
+	return s.members[i], true
 }
 
 // maxPastConfigs bounds the shed-eligibility history. It only needs to cover
@@ -121,9 +135,13 @@ type Cluster struct {
 
 	started atomic.Bool
 	snap    atomic.Pointer[snapshot]
-	// pastRing orders the recent past configuration IDs for trimming. Only
-	// the engine goroutine (via publishSnapshot) touches it. engine-owned.
+	// pastRing holds the recent past configuration IDs, oldest first; each
+	// snapshot's pastConfigs is a view of it. Only the engine goroutine (via
+	// publishSnapshot) touches it. engine-owned.
 	pastRing []uint64
+	// probeOK and probeBootstrapping are the two answers a probe can get;
+	// they are built once and shared, since nothing writes to a response.
+	probeOK, probeBootstrapping *remoting.Response
 
 	notifier  *notifier
 	monitorCh chan []node.Addr
@@ -236,6 +254,12 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 		stopCh:    make(chan struct{}),
 		shedWater: settings.EventQueueSize * 3 / 4,
 		monitorCh: make(chan []node.Addr, 1),
+		probeOK: &remoting.Response{Probe: &remoting.ProbeResponse{
+			Sender: addr, Status: remoting.NodeOK,
+		}},
+		probeBootstrapping: &remoting.Response{Probe: &remoting.ProbeResponse{
+			Sender: addr, Status: remoting.NodeBootstrapping,
+		}},
 	}
 	if c.shedWater < 1 {
 		c.shedWater = 1
@@ -334,7 +358,7 @@ func (c *Cluster) staleBatch(ev event, hardFull bool) bool {
 		if configID == s.configID {
 			return false
 		}
-		return hardFull || s.pastConfigs[configID]
+		return hardFull || slices.Contains(s.pastConfigs, configID)
 	}
 	if ev.batch != nil {
 		for i := range ev.batch.Alerts {
@@ -365,37 +389,28 @@ func (c *Cluster) enqueuePriority(ev event) bool {
 }
 
 // publishSnapshot installs the membership state readers see. Called by the
-// engine goroutine only (and once during construction). members is the
-// caller's sorted copy of v.Members(); reusing it saves a second O(N log N)
-// sort per view change per node, but the snapshot still takes its own flat
-// copy — the caller hands the same slice to subscriber callbacks and join
-// responses, and a subscriber mutating ViewChange.Members must not corrupt
-// what concurrent Members()/Size() readers see.
-func (c *Cluster) publishSnapshot(v *view.View, members []node.Endpoint, viewChanges int) {
-	members = append([]node.Endpoint(nil), members...)
-	byAddr := make(map[node.Addr]node.Endpoint, len(members))
-	for _, ep := range members {
-		byAddr[ep.Addr] = ep
-	}
-	// The configuration being replaced joins the bounded past-configs set:
+// engine goroutine only (and once during construction). The snapshot holds
+// the view's own sorted member list: the view builds it once per
+// configuration and never writes to it afterwards, so the snapshot, the
+// engine, join responses and subscribers all share one slice. Lookups
+// binary-search it, so no address index is built either.
+func (c *Cluster) publishSnapshot(v *view.View, viewChanges int) {
+	// The configuration being replaced joins the bounded past-configs list:
 	// overload shedding may drop batches referencing only these, because the
-	// protocol never revisits a configuration.
+	// protocol never revisits a configuration. Appending and trimming never
+	// overwrite an element an earlier snapshot's pastConfigs can see, so
+	// every snapshot shares pastRing's backing array.
 	if prev := c.snap.Load(); prev != nil {
 		c.pastRing = append(c.pastRing, prev.configID)
 		if len(c.pastRing) > maxPastConfigs {
 			c.pastRing = c.pastRing[len(c.pastRing)-maxPastConfigs:]
 		}
 	}
-	past := make(map[uint64]bool, len(c.pastRing))
-	for _, id := range c.pastRing {
-		past[id] = true
-	}
 	c.snap.Store(&snapshot{
 		configID:    v.ConfigurationID(),
-		members:     members,
-		byAddr:      byAddr,
+		members:     v.Members(),
 		viewChanges: viewChanges,
-		pastConfigs: past,
+		pastConfigs: c.pastRing,
 	})
 }
 
@@ -439,7 +454,7 @@ func (c *Cluster) IsMember() bool {
 	if s == nil {
 		return false
 	}
-	_, ok := s.byAddr[c.me.Addr]
+	_, ok := s.member(c.me.Addr)
 	return ok
 }
 
@@ -457,7 +472,7 @@ func (c *Cluster) Metadata(addr node.Addr) (map[string]string, bool) {
 	if s == nil {
 		return nil, false
 	}
-	ep, ok := s.byAddr[addr]
+	ep, ok := s.member(addr)
 	if !ok {
 		return nil, false
 	}

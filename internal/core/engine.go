@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/cutdetect"
@@ -158,14 +159,23 @@ func newEngine(c *Cluster, members []node.Endpoint) *engine {
 		winCtl: newWindowController(c.settings.BatchingWindowMin, c.settings.BatchingWindowMax, c.settings.BatchingWindow),
 	}
 	c.emetrics.BatchWindow.Set(int64(e.winCtl.window))
+	e.installConfiguration()
+	return e
+}
+
+// installConfiguration hands the current configuration to everything that
+// depends on it: the broadcasters' recipients, a fresh consensus instance and
+// the published snapshot. All of them share the view's sorted membership,
+// which the view builds once per configuration.
+func (e *engine) installConfiguration() {
+	c := e.c
 	addrs := e.view.MemberAddrs()
 	c.unicast.SetMembership(addrs)
 	if c.broadcaster != c.unicast {
 		c.broadcaster.SetMembership(addrs)
 	}
 	e.consensus = e.newConsensus()
-	c.publishSnapshot(e.view, e.view.Members(), e.viewChanges)
-	return e
+	c.publishSnapshot(e.view, e.viewChanges)
 }
 
 // run is the engine loop: the only goroutine that mutates protocol state.
@@ -270,11 +280,11 @@ func (e *engine) dispatch(ev event) {
 func (e *engine) newConsensus() *fastpaxos.FastPaxos {
 	c := e.c
 	members := e.view.MemberAddrs()
-	myIndex := sort.Search(len(members), func(i int) bool { return members[i] >= c.me.Addr })
+	myIndex, _ := slices.BinarySearch(members, c.me.Addr)
 	return fastpaxos.New(fastpaxos.Config{
 		MyAddr:          c.me.Addr,
 		MyIndex:         myIndex,
-		MembershipSize:  e.view.Size(),
+		MembershipSize:  len(members),
 		ConfigurationID: e.view.ConfigurationID(),
 		Client:          c.client,
 		Broadcaster:     c.unicast,
@@ -458,7 +468,7 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	// Capture the index and size before proposing: a single-process cluster
 	// decides inside Propose, which installs the next view.
 	members := e.view.MemberAddrs()
-	myIndex := sort.Search(len(members), func(i int) bool { return members[i] >= e.c.me.Addr })
+	myIndex, _ := slices.BinarySearch(members, e.c.me.Addr)
 	cons.Propose(dedupeEndpoints(proposal))
 	e.scheduleFallback(cons, myIndex, len(members))
 }
@@ -652,13 +662,7 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// seq) keys are never reused, so dedup stays valid, and re-gossiping the
 	// previous configuration's batches is what rescues members that have not
 	// decided yet. Stale content is config-filtered on receipt.
-	addrs := e.view.MemberAddrs()
-	c.unicast.SetMembership(addrs)
-	if c.broadcaster != c.unicast {
-		c.broadcaster.SetMembership(addrs)
-	}
-	e.consensus = e.newConsensus()
-	c.publishSnapshot(e.view, members, e.viewChanges)
+	e.installConfiguration()
 
 	// Settle the parked joiners. Admitted ones get the new configuration.
 	// A joiner the view change raced past keeps waiting if this node still
@@ -769,6 +773,8 @@ func dedupeEndpoints(in []node.Endpoint) []node.Endpoint {
 		seen[ep.Addr] = true
 		out = append(out, ep)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, func(a, b node.Endpoint) int {
+		return strings.Compare(string(a.Addr), string(b.Addr))
+	})
 	return out
 }

@@ -55,11 +55,10 @@ func (c *Cluster) HandleRequest(ctx context.Context, from node.Addr, req *remoti
 // engine: probe latency is what failure detection is calibrated against, so
 // it must not queue behind protocol work.
 func (c *Cluster) handleProbe() *remoting.Response {
-	status := remoting.NodeOK
 	if !c.started.Load() {
-		status = remoting.NodeBootstrapping
+		return c.probeBootstrapping
 	}
-	return &remoting.Response{Probe: &remoting.ProbeResponse{Sender: c.me.Addr, Status: status}}
+	return c.probeOK
 }
 
 // handlePreJoin forwards phase 1 of the join protocol to the engine and waits

@@ -9,6 +9,8 @@ package fastpaxos
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/node"
@@ -48,13 +50,82 @@ type FastPaxos struct {
 	mu            sync.Mutex
 	decided       bool
 	votesReceived map[node.Addr]bool
-	votesPerValue map[string]*tally
+	// votesPerValue groups fast-round votes by proposal, keyed by
+	// hashProposal; each bucket chains the distinct proposals that share a
+	// hash, so a collision can never merge two proposals.
+	votesPerValue map[uint64]*tally
 	proposed      bool
 }
 
+// tally counts the votes for one proposal.
 type tally struct {
 	count int
-	value []node.Endpoint
+	value []node.Endpoint // the first vote's proposal, copied
+	next  *tally          // a different proposal with the same hash
+}
+
+// hashProposal is proposalHash; tests replace it to force collisions.
+var hashProposal = proposalHash
+
+// FNV-1a 64-bit parameters for hashing endpoint addresses.
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+)
+
+// proposalHash is an order-insensitive hash of a proposal's (Addr, ID)
+// multiset: the wrapping sum of one well-mixed hash per endpoint. Metadata is
+// not part of a proposal's identity, so proposals that differ only in it
+// share a tally, as they did when votes were grouped by paxos.Key.
+func proposalHash(p []node.Endpoint) uint64 {
+	sum := uint64(len(p))
+	for _, ep := range p {
+		h := uint64(fnvOffset)
+		for i := 0; i < len(ep.Addr); i++ {
+			h = (h ^ uint64(ep.Addr[i])) * fnvPrime
+		}
+		sum += fmix64(fmix64(h^ep.ID.High) ^ ep.ID.Low)
+	}
+	return sum
+}
+
+// fmix64 is the murmur3 64-bit finalizer.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// sameProposal reports whether a and b hold the same (Addr, ID) multiset.
+// Voters that detected the same cut send it in the same sorted order, so the
+// element-wise scan is the common case and allocates nothing; only
+// differently ordered proposals pay for sorted copies.
+func sameProposal(a, b []node.Endpoint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	i := 0
+	for i < len(a) && a[i].Equal(b[i]) {
+		i++
+	}
+	if i == len(a) {
+		return true
+	}
+	a, b = slices.Clone(a[i:]), slices.Clone(b[i:])
+	slices.SortFunc(a, compareEndpoints)
+	slices.SortFunc(b, compareEndpoints)
+	return slices.EqualFunc(a, b, node.Endpoint.Equal)
+}
+
+// compareEndpoints orders endpoints by address, then by logical ID.
+func compareEndpoints(a, b node.Endpoint) int {
+	if c := strings.Compare(string(a.Addr), string(b.Addr)); c != 0 {
+		return c
+	}
+	return a.ID.Compare(b.ID)
 }
 
 // FastQuorumSize returns the number of identical votes needed for the fast
@@ -71,8 +142,7 @@ func New(cfg Config) *FastPaxos {
 	f := &FastPaxos{
 		cfg:           cfg,
 		quorum:        FastQuorumSize(cfg.MembershipSize),
-		votesReceived: make(map[node.Addr]bool),
-		votesPerValue: make(map[string]*tally),
+		votesPerValue: make(map[uint64]*tally),
 	}
 	f.inner = paxos.New(paxos.Config{
 		MyAddr:          cfg.MyAddr,
@@ -126,7 +196,9 @@ func (f *FastPaxos) Decided() bool {
 }
 
 // HandleFastRoundVote counts one fast-round vote. A fast quorum of identical
-// votes decides immediately.
+// votes decides immediately. Votes are identical when their proposals hold
+// the same (Addr, ID) multiset; counting a vote for an already-tallied
+// proposal allocates nothing.
 func (f *FastPaxos) HandleFastRoundVote(msg *remoting.FastRoundPhase2b) {
 	if msg.ConfigurationID != f.cfg.ConfigurationID {
 		return
@@ -136,12 +208,21 @@ func (f *FastPaxos) HandleFastRoundVote(msg *remoting.FastRoundPhase2b) {
 		f.mu.Unlock()
 		return
 	}
+	if f.votesReceived == nil {
+		// Sized for the whole membership at the first vote, so counting
+		// never regrows it, while an instance that gets no votes holds none.
+		f.votesReceived = make(map[node.Addr]bool, f.cfg.MembershipSize)
+	}
 	f.votesReceived[msg.Sender] = true
-	key := paxos.Key(msg.Proposal)
-	t, ok := f.votesPerValue[key]
-	if !ok {
-		t = &tally{value: append([]node.Endpoint(nil), msg.Proposal...)}
-		f.votesPerValue[key] = t
+	h := hashProposal(msg.Proposal)
+	head := f.votesPerValue[h]
+	t := head
+	for t != nil && !sameProposal(t.value, msg.Proposal) {
+		t = t.next
+	}
+	if t == nil {
+		t = &tally{value: append([]node.Endpoint(nil), msg.Proposal...), next: head}
+		f.votesPerValue[h] = t
 	}
 	t.count++
 	if t.count < f.quorum {
@@ -158,9 +239,9 @@ func (f *FastPaxos) HandleFastRoundVote(msg *remoting.FastRoundPhase2b) {
 func (f *FastPaxos) VotesForLeadingProposal() (leading, total int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, t := range f.votesPerValue {
-		if t.count > leading {
-			leading = t.count
+	for _, head := range f.votesPerValue {
+		for t := head; t != nil; t = t.next {
+			leading = max(leading, t.count)
 		}
 	}
 	return leading, len(f.votesReceived)

@@ -28,9 +28,31 @@ type ID struct {
 	Low  uint64
 }
 
-// String renders the ID in a compact UUID-like hexadecimal form.
+// String renders the ID in a compact UUID-like hexadecimal form: both halves
+// as 16 zero-padded lowercase hex digits, joined by '-'.
 func (id ID) String() string {
-	return fmt.Sprintf("%016x-%016x", id.High, id.Low)
+	var buf [idTextLen]byte
+	return string(id.Append(buf[:0]))
+}
+
+// idTextLen is the length of an ID's String form.
+const idTextLen = 16 + 1 + 16
+
+// Append appends the String form of id to dst and returns the extended
+// buffer, so callers building composite keys need no intermediate string.
+func (id ID) Append(dst []byte) []byte {
+	dst = appendHex16(dst, id.High)
+	dst = append(dst, '-')
+	return appendHex16(dst, id.Low)
+}
+
+// appendHex16 appends x as 16 zero-padded lowercase hex digits.
+func appendHex16(dst []byte, x uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[(x>>uint(shift))&0xf])
+	}
+	return dst
 }
 
 // IsZero reports whether the ID is the zero value (no identity assigned).

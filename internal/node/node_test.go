@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -126,5 +127,34 @@ func TestEndpointString(t *testing.T) {
 	want := "h:1/000000000000000a-000000000000000b"
 	if e.String() != want {
 		t.Errorf("String() = %q, want %q", e.String(), want)
+	}
+}
+
+// TestIDStringGolden pins the ID text format: logs, paxos.Key and the
+// classical path's tie-break order all depend on it byte for byte.
+func TestIDStringGolden(t *testing.T) {
+	cases := []struct {
+		id   ID
+		want string
+	}{
+		{ID{}, "0000000000000000-0000000000000000"},
+		{ID{0xa, 0xb}, "000000000000000a-000000000000000b"},
+		{ID{0x0123456789abcdef, 0xfedcba9876543210}, "0123456789abcdef-fedcba9876543210"},
+		{ID{^uint64(0), 1 << 63}, "ffffffffffffffff-8000000000000000"},
+	}
+	for _, c := range cases {
+		if got := c.id.String(); got != c.want {
+			t.Errorf("ID%v.String() = %q, want %q", [2]uint64{c.id.High, c.id.Low}, got, c.want)
+		}
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 1000; i++ {
+		id := NewIDFromRand(r)
+		if got, want := id.String(), fmt.Sprintf("%016x-%016x", id.High, id.Low); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		if got := string(id.Append([]byte("x|"))); got != "x|"+id.String() {
+			t.Fatalf("Append = %q, want %q", got, "x|"+id.String())
+		}
 	}
 }

@@ -11,8 +11,7 @@
 package paxos
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -34,13 +33,18 @@ type Broadcaster interface {
 type Value = []node.Endpoint
 
 // Key returns a canonical string identity for a proposal so identical
-// proposals compare equal regardless of slice ordering.
+// proposals compare equal regardless of slice ordering: the "addr|id" parts
+// of its endpoints (see node.ID.String), sorted and joined by ','. The
+// classical path breaks ties on Key order, so the format is pinned by a
+// golden test.
 func Key(v Value) string {
 	parts := make([]string, len(v))
+	var buf []byte
 	for i, ep := range v {
-		parts[i] = fmt.Sprintf("%s|%s", ep.Addr, ep.ID)
+		buf = append(append(buf[:0], ep.Addr...), '|')
+		parts[i] = string(ep.ID.Append(buf))
 	}
-	sort.Strings(parts)
+	slices.Sort(parts)
 	return strings.Join(parts, ",")
 }
 

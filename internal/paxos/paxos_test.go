@@ -3,6 +3,8 @@ package paxos
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,6 +140,48 @@ func TestKeyIsOrderInsensitive(t *testing.T) {
 	}
 	if Key(nil) != "" {
 		t.Errorf("Key(nil) = %q, want empty", Key(nil))
+	}
+}
+
+// fmtKey is the original fmt-based Key, kept as the reference the faster
+// implementation must match byte for byte.
+func fmtKey(v Value) string {
+	parts := make([]string, len(v))
+	for i, ep := range v {
+		parts[i] = fmt.Sprintf("%s|%s", ep.Addr, ep.ID)
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
+}
+
+// TestKeyGolden pins Key's format: the classical path breaks ties on Key
+// order, so it must stay identical across versions.
+func TestKeyGolden(t *testing.T) {
+	v := Value{
+		{Addr: "10.0.0.2:5000", ID: node.ID{High: 0x2, Low: 0xabc}},
+		{Addr: "10.0.0.1:5000", ID: node.ID{High: 0x0123456789abcdef, Low: 1}},
+		{Addr: "10.0.0.1:5000", ID: node.ID{High: 0x0123456789abcdef, Low: 0}},
+	}
+	want := "10.0.0.1:5000|0123456789abcdef-0000000000000000," +
+		"10.0.0.1:5000|0123456789abcdef-0000000000000001," +
+		"10.0.0.2:5000|0000000000000002-0000000000000abc"
+	if got := Key(v); got != want {
+		t.Errorf("Key = %q, want %q", got, want)
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		v := make(Value, r.Intn(8))
+		for j := range v {
+			// A small address alphabet makes shared prefixes, duplicates and
+			// addresses that are prefixes of one another common.
+			v[j] = node.Endpoint{
+				Addr: node.Addr(fmt.Sprintf("h%d:%d", r.Intn(3), r.Intn(12))),
+				ID:   node.ID{High: uint64(r.Intn(3)), Low: r.Uint64() >> uint(r.Intn(64))},
+			}
+		}
+		if got, want := Key(v), fmtKey(v); got != want {
+			t.Fatalf("Key(%v) = %q, want %q", v, got, want)
+		}
 	}
 }
 

@@ -325,5 +325,9 @@ func (r *Request) Kind() string {
 	}
 }
 
-// AckResponse is the canonical acknowledgement response.
-func AckResponse() *Response { return &Response{Ack: true} }
+// ackResponse is the one acknowledgement every handler returns.
+var ackResponse = &Response{Ack: true}
+
+// AckResponse is the canonical acknowledgement response. It is shared by
+// every caller, so it must be treated as read-only.
+func AckResponse() *Response { return ackResponse }

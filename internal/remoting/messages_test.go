@@ -204,3 +204,15 @@ func TestBatchedAlertSizeGrowsSublinearly(t *testing.T) {
 		t.Errorf("batched size %d should be < 10x single size %d", s10, s1)
 	}
 }
+
+// TestAckResponseIsShared pins that acknowledging costs nothing: every
+// handler returns the same read-only acknowledgement.
+func TestAckResponseIsShared(t *testing.T) {
+	a := AckResponse()
+	if a != AckResponse() || !a.Ack || a.Probe != nil || a.Join != nil {
+		t.Fatalf("AckResponse() = %+v, want one shared {Ack: true}", a)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { AckResponse() }); allocs != 0 {
+		t.Fatalf("AckResponse allocates %.0f objects, want 0", allocs)
+	}
+}

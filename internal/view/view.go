@@ -16,13 +16,18 @@
 // array lookups with no hashing and no searching, and bulk construction
 // (NewWithMembers) hashes each address K times and sorts each ring once —
 // O(K·N log N) — instead of performing N repeated sorted insertions.
+//
+// One membership per configuration: the view also keeps its members in
+// address order, and builds the sorted member list, the sorted address list
+// and the configuration identifier together, in one pass, the first time
+// any of them is read after a change. Every reader of that configuration
+// shares the same immutable slices (see Members).
 package view
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -55,12 +60,28 @@ type memberRec struct {
 type View struct {
 	k int
 
-	mu            sync.RWMutex
-	rings         [][]*memberRec
-	byAddr        map[node.Addr]*memberRec
-	seenIDs       map[node.ID]bool
-	cachedConfig  uint64
-	configIsValid bool
+	mu     sync.RWMutex
+	rings  [][]*memberRec
+	byAddr map[node.Addr]*memberRec
+	// sorted orders the members by address. Like the rings it is updated in
+	// place by each mutation, so building a configuration never sorts.
+	sorted  []*memberRec
+	seenIDs map[node.ID]bool
+	// config caches the current configuration's sorted membership and
+	// identifier; nil after every membership change until the next reader
+	// rebuilds it.
+	config *configuration
+}
+
+// configuration is the sorted membership of one configuration and its
+// identifier, built together in one pass at most once per configuration.
+// Its slices are shared with every caller (the engine, the broadcaster, the
+// published snapshot, join responses and subscribers) and are never written
+// after construction: a membership change builds a new configuration.
+type configuration struct {
+	members []node.Endpoint // sorted by address
+	addrs   []node.Addr     // members' addresses, same order
+	id      uint64
 }
 
 // New creates an empty view with k rings. k must be at least 1; the paper
@@ -134,6 +155,10 @@ func NewWithMembers(k int, members []node.Endpoint) *View {
 		}
 		v.rings[r] = ring
 	}
+	slices.SortFunc(recs, func(a, b *memberRec) int {
+		return strings.Compare(string(a.ep.Addr), string(b.ep.Addr))
+	})
+	v.sorted = recs
 	return v
 }
 
@@ -173,28 +198,60 @@ func (v *View) Member(addr node.Addr) (node.Endpoint, bool) {
 	return rec.ep, true
 }
 
-// Members returns all member endpoints sorted by address.
-func (v *View) Members() []node.Endpoint {
+// Members returns all member endpoints sorted by address. The slice is shared
+// by every caller until the next membership change and must not be modified.
+func (v *View) Members() []node.Endpoint { return v.current().members }
+
+// MemberAddrs returns all member addresses sorted lexicographically. The
+// slice is shared by every caller until the next membership change and must
+// not be modified.
+func (v *View) MemberAddrs() []node.Addr { return v.current().addrs }
+
+// ConfigurationID returns a 64-bit identifier of this configuration: a hash
+// over the sorted (address, identifier) pairs of the membership set. Two
+// processes with identical views compute identical identifiers.
+func (v *View) ConfigurationID() uint64 { return v.current().id }
+
+// current returns the cached configuration, building it on the first call
+// after a membership change. The common case takes only the read lock, so
+// concurrent readers are not serialized; the write lock is taken only to
+// rebuild (double-checked).
+func (v *View) current() *configuration {
 	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]node.Endpoint, 0, len(v.byAddr))
-	for _, rec := range v.byAddr {
-		out = append(out, rec.ep)
+	cfg := v.config
+	v.mu.RUnlock()
+	if cfg != nil {
+		return cfg
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.config == nil {
+		v.config = buildConfiguration(v.sorted)
+	}
+	return v.config
 }
 
-// MemberAddrs returns all member addresses sorted lexicographically.
-func (v *View) MemberAddrs() []node.Addr {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]node.Addr, 0, len(v.byAddr))
-	for a := range v.byAddr {
-		out = append(out, a)
+// buildConfiguration derives the member list, the address list and the
+// configuration identifier from the address-ordered members in one pass.
+func buildConfiguration(sorted []*memberRec) *configuration {
+	members := make([]node.Endpoint, len(sorted))
+	addrs := make([]node.Addr, len(sorted))
+	h := uint64(fnvOffset)
+	for i, rec := range sorted {
+		ep := rec.ep
+		members[i] = ep
+		addrs[i] = ep.Addr
+		for j := 0; j < len(ep.Addr); j++ {
+			h = (h ^ uint64(ep.Addr[j])) * fnvPrime
+		}
+		for j := 0; j < 8; j++ {
+			h = (h ^ uint64(byte(ep.ID.High>>(8*j)))) * fnvPrime
+		}
+		for j := 0; j < 8; j++ {
+			h = (h ^ uint64(byte(ep.ID.Low>>(8*j)))) * fnvPrime
+		}
 	}
-	node.SortAddrs(out)
-	return out
+	return &configuration{members: members, addrs: addrs, id: h}
 }
 
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters.
@@ -259,6 +316,15 @@ func searchRing(ring []*memberRec, r int, hash uint64, addr node.Addr) int {
 	return lo
 }
 
+// sortedIndex returns the index of addr in v.sorted, or where it would be
+// inserted. Must be called with the lock held.
+func (v *View) sortedIndex(addr node.Addr) int {
+	i, _ := slices.BinarySearchFunc(v.sorted, addr, func(rec *memberRec, a node.Addr) int {
+		return strings.Compare(string(rec.ep.Addr), string(a))
+	})
+	return i
+}
+
 // AddMember inserts an endpoint into every ring. It fails if the address or
 // the logical identifier is already present.
 func (v *View) AddMember(ep node.Endpoint) error {
@@ -278,6 +344,7 @@ func (v *View) AddMember(ep node.Endpoint) error {
 	fillRingHashes(rec.hashes, ep.Addr)
 	v.byAddr[ep.Addr] = rec
 	v.seenIDs[ep.ID] = true
+	v.sorted = slices.Insert(v.sorted, v.sortedIndex(ep.Addr), rec)
 	for r := 0; r < v.k; r++ {
 		ring := v.rings[r]
 		idx := searchRing(ring, r, rec.hashes[r], ep.Addr)
@@ -290,7 +357,7 @@ func (v *View) AddMember(ep node.Endpoint) error {
 		}
 		v.rings[r] = ring
 	}
-	v.configIsValid = false
+	v.config = nil
 	return nil
 }
 
@@ -305,6 +372,8 @@ func (v *View) RemoveMember(addr node.Addr) error {
 		return ErrNodeNotInRing
 	}
 	delete(v.byAddr, addr)
+	i := v.sortedIndex(addr)
+	v.sorted = slices.Delete(v.sorted, i, i+1)
 	for r := 0; r < v.k; r++ {
 		ring := v.rings[r]
 		idx := rec.pos[r]
@@ -318,7 +387,7 @@ func (v *View) RemoveMember(addr node.Addr) error {
 	}
 	// Note: the logical ID stays in seenIDs; a process that rejoins must use
 	// a new identifier, as required by §3.
-	v.configIsValid = false
+	v.config = nil
 	return nil
 }
 
@@ -452,50 +521,6 @@ func (v *View) RingNumbers(observer, subject node.Addr) []int {
 	return out
 }
 
-// ConfigurationID returns a 64-bit identifier of this configuration: a hash
-// over the sorted (address, identifier) pairs of the membership set. Two
-// processes with identical views compute identical identifiers.
-//
-// The common case — the cached identifier is valid — takes only the read
-// lock, so concurrent readers are not serialized; the write lock is taken
-// only to recompute after a membership change (double-checked).
-func (v *View) ConfigurationID() uint64 {
-	v.mu.RLock()
-	if v.configIsValid {
-		id := v.cachedConfig
-		v.mu.RUnlock()
-		return id
-	}
-	v.mu.RUnlock()
-
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.configIsValid {
-		return v.cachedConfig
-	}
-	addrs := make([]node.Addr, 0, len(v.byAddr))
-	for a := range v.byAddr {
-		addrs = append(addrs, a)
-	}
-	node.SortAddrs(addrs)
-	h := uint64(fnvOffset)
-	for _, a := range addrs {
-		id := v.byAddr[a].ep.ID
-		for i := 0; i < len(a); i++ {
-			h = (h ^ uint64(a[i])) * fnvPrime
-		}
-		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(id.High>>(8*i)))) * fnvPrime
-		}
-		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(id.Low>>(8*i)))) * fnvPrime
-		}
-	}
-	v.cachedConfig = h
-	v.configIsValid = true
-	return v.cachedConfig
-}
-
 // IsSafeToJoin classifies a join attempt against the current view.
 func (v *View) IsSafeToJoin(addr node.Addr, id node.ID) remoting.JoinStatus {
 	v.mu.RLock()
@@ -534,8 +559,13 @@ func (v *View) Clone() *View {
 		}
 		clone.rings[r] = ring
 	}
-	clone.cachedConfig = v.cachedConfig
-	clone.configIsValid = v.configIsValid
+	clone.sorted = make([]*memberRec, len(v.sorted))
+	for i, rec := range v.sorted {
+		clone.sorted[i] = clone.byAddr[rec.ep.Addr]
+	}
+	// The cached configuration is immutable, so the clone shares it until
+	// either view changes.
+	clone.config = v.config
 	return clone
 }
 
