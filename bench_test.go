@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's tables and figures (§2.1, §7, §8) at
 // laptop scale, plus micro-benchmarks of the protocol's hot paths. Each
 // "Figure"/"Table" benchmark runs one full scaled-down experiment per
-// iteration; EXPERIMENTS.md records a captured run next to the paper's
+// iteration; docs/EXPERIMENTS.md records a captured run next to the paper's
 // numbers. Run with:
 //
 //	go test -bench=. -benchmem

@@ -26,5 +26,5 @@
 // (a SWIM/Memberlist-style gossip baseline, a ZooKeeper-style registry, and
 // an all-to-all gossip failure detector), the end-to-end workloads of §7, and
 // a benchmark harness regenerating every table and figure of the paper; see
-// DESIGN.md and EXPERIMENTS.md.
+// docs/ARCHITECTURE.md and docs/EXPERIMENTS.md.
 package rapid

@@ -188,11 +188,17 @@ func (e *engine) run() {
 	// that it is ordered before any view change's update: publishing it from
 	// the initializer could overwrite a newer set with the stale initial one.
 	c.setMonitorSubjects(e.currentSubjects())
-	// The flush timer is re-armed after every flush with a window the
-	// controller sizes to the current load, so it is a one-shot Timer rather
-	// than a fixed-period Ticker.
+	// The flush timer is re-armed after a flush with a window the controller
+	// sizes to the current load, so it is a one-shot Timer rather than a
+	// fixed-period Ticker. An engine idle at the floor (see idle) lets it
+	// lapse until a dispatch gives it something to flush, then re-arms it on
+	// the grid of floor-length ticks it would have kept firing
+	// (sleptAt + k·floor), so every flush lands where it would have landed
+	// had the timer never stopped.
 	flush := c.clock.Timer(e.winCtl.window)
 	defer flush.Stop()
+	asleep := false
+	var sleptAt time.Time
 	reinforce := c.clock.Ticker(c.settings.ReinforcementTick)
 	defer reinforce.Stop()
 	// drainPrio applies queued control-plane events, at most maxPrioBurst per
@@ -213,6 +219,13 @@ func (e *engine) run() {
 	}
 	for {
 		drainPrio()
+		// Every path that can leave work behind — the prio drain above and
+		// each select case below — passes here before the loop blocks again.
+		if asleep && !e.idle() {
+			floor := e.winCtl.floor
+			flush.Reset(floor - c.clock.Since(sleptAt)%floor)
+			asleep = false
+		}
 		select {
 		case <-c.stopCh:
 			return
@@ -223,15 +236,31 @@ func (e *engine) run() {
 			e.dispatch(ev)
 			c.emetrics.EventsProcessed.Add(1)
 		case <-flush.C():
+			quiet := e.winCtl.window == e.winCtl.floor && e.idle()
 			// Rumors first: a batch flushed this tick had its first push
 			// inside flushOutbox, so its next round belongs to the next tick.
 			e.regossip()
 			e.flushOutbox()
-			flush.Reset(e.retuneWindow())
+			next := e.retuneWindow()
+			if quiet && next == e.winCtl.floor {
+				asleep, sleptAt = true, c.clock.Now()
+			} else {
+				flush.Reset(next)
+			}
 		case <-reinforce.C():
 			e.reinforce()
 		}
 	}
+}
+
+// idle reports whether a flush tick would find nothing to do: no buffered
+// alerts, votes or rumors, no data arrivals since the last tick and an empty
+// data queue. A tick at the floor in that state sends nothing and retunes to
+// the floor again, as does every later tick until a dispatch changes one of
+// these inputs, so the engine may skip those ticks.
+func (e *engine) idle() bool {
+	return len(e.pendingAlerts) == 0 && len(e.pendingVotes) == 0 && len(e.rumors) == 0 &&
+		e.arrivals == 0 && len(e.c.events) == 0
 }
 
 // retuneWindow feeds the controller the live data-queue depth and the events

@@ -1,14 +1,17 @@
 // Package docscheck keeps the documentation honest: it fails when README.md
 // or anything under docs/ references a command-line flag that the cmd/
-// binaries no longer define. The flag sets are recovered from the AST of each
-// cmd/<name>/main.go (calls to flag.String, flag.Int, ...), so the check
-// needs no build tags, no binary execution, and stays correct as flags move.
+// binaries no longer define, or when the documentation or a Go comment
+// points at a markdown file that does not exist. The flag sets are recovered
+// from the AST of each cmd/<name>/main.go (calls to flag.String, flag.Int,
+// ...), so the check needs no build tags, no binary execution, and stays
+// correct as flags move.
 package docscheck
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -168,5 +171,88 @@ func TestDocsReferenceOnlyExistingFlags(t *testing.T) {
 	}
 	if checkedLines == 0 {
 		t.Fatal("no documentation lines mention any cmd binary; check the scanner")
+	}
+}
+
+// mdLink matches the target of an inline markdown link, [text](target).
+var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+
+// mdPath matches a markdown file path standing as its own token, such as
+// docs/ARCHITECTURE.md or README.md; a path inside a URL does not start a
+// token and is left alone.
+var mdPath = regexp.MustCompile(`(?:^|[\s(` + "`" + `"'])([A-Za-z0-9_][A-Za-z0-9_./-]*\.md)\b`)
+
+// TestDocsReferenceExistingFiles fails when a relative link in README.md or
+// docs/*.md, or a markdown path named in a Go comment of this module, does
+// not resolve to a file. Links resolve against the linking file's directory;
+// paths in Go comments against the repository root or the Go file's
+// directory.
+func TestDocsReferenceExistingFiles(t *testing.T) {
+	root := repoRoot(t)
+	exists := func(path string) bool {
+		info, err := os.Stat(path)
+		return err == nil && !info.IsDir()
+	}
+
+	links := 0
+	for _, path := range docFiles(t, root) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(root, path)
+		for lineNo, line := range strings.Split(string(data), "\n") {
+			for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
+				target, _, _ := strings.Cut(m[1], "#")
+				if target == "" || strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
+					continue
+				}
+				links++
+				if !exists(filepath.Join(filepath.Dir(path), target)) {
+					t.Errorf("%s:%d links to %s, which does not exist", rel, lineNo+1, m[1])
+				}
+			}
+		}
+	}
+	if links == 0 {
+		t.Fatal("no relative links found in the documentation; check the scanner")
+	}
+
+	named := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// Hidden and build directories hold no sources of this module,
+			// and a directory with its own go.mod is a separate module.
+			if path != root && (strings.HasPrefix(d.Name(), ".") || exists(filepath.Join(path, "go.mod"))) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, group := range file.Comments {
+			for _, m := range mdPath.FindAllStringSubmatch(group.Text(), -1) {
+				named++
+				if !exists(filepath.Join(root, m[1])) && !exists(filepath.Join(filepath.Dir(path), m[1])) {
+					t.Errorf("%s: comment names %s, which does not exist", rel, m[1])
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if named == 0 {
+		t.Fatal("no markdown paths found in Go comments; check the scanner")
 	}
 }
